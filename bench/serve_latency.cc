@@ -5,8 +5,9 @@
  *
  * Beyond the paper: the paper (and our fig* fleet) reports closed-loop
  * batch throughput; this bench drives the same simulated hardware with
- * open-loop Poisson traffic through the src/serve pipeline and
- * reports three families of curves:
+ * open-loop Poisson traffic through the serving engine
+ * (shard::ClusterServer as one shard of two GPU instances) and reports
+ * three families of curves:
  *
  *  1. Policy sweep — p50/p99/QPS at each offered load for every
  *     (batch policy x GPU variant) pair, plus the memory-system
@@ -42,8 +43,9 @@
 
 #include "bench_common.hh"
 #include "common/argparse.hh"
-#include "serve/server.hh"
 #include "shard/answers.hh"
+#include "shard/cluster.hh"
+#include "shard/shard_index.hh"
 
 using namespace hsu;
 
@@ -61,25 +63,28 @@ const std::pair<Algo, DatasetId> kServeWorkloads[] = {
 /**
  * Calibrate one workload's baseline capacity: simulated cycles of a
  * full batch on the non-RT GPU, turned into a saturation QPS for the
- * whole server (numInstances concurrent batches).
+ * whole server (instancesPerReplica concurrent batches).
  */
 double
 baselineCapacityQps(Algo algo, DatasetId dataset,
-                    const serve::ServerConfig &cfg)
+                    const shard::ClusterConfig &cfg)
 {
     GpuConfig base = cfg.gpu;
     base.rtUnitEnabled = false;
     std::vector<std::uint32_t> ids(cfg.pipeline.batch.maxBatch);
     std::iota(ids.begin(), ids.end(), 0u);
     const std::shared_ptr<const KernelTrace> trace =
-        emitBatchTrace(algo, dataset, KernelVariant::Baseline,
-                       base.datapath, ids, cfg.queryPoolSize);
+        shard::emitShardBatchTrace(
+            algo, shard::ShardKey{dataset, cfg.partition, 1, 0},
+            KernelVariant::Baseline, base.datapath, ids,
+            cfg.queryPoolSize);
     StatGroup stats;
     const std::uint64_t cycles =
         simulateKernel(base, trace, stats).cycles +
         cfg.launchOverheadCycles;
     return serve::kClockHz *
-           static_cast<double>(cfg.pipeline.batch.maxBatch * cfg.numInstances) /
+           static_cast<double>(cfg.pipeline.batch.maxBatch *
+                               cfg.instancesPerReplica) /
            static_cast<double>(cycles);
 }
 
@@ -106,12 +111,20 @@ maxBatchFor(Algo algo)
     return 32;
 }
 
-serve::ServerConfig
+/**
+ * One shard served by two GPU instances behind one queue, over a
+ * zero-cost link. Hash partitioning routes every query to the one
+ * shard; a spatial one would let the router answer B+tree keys outside
+ * the key range without a launch.
+ */
+shard::ClusterConfig
 serveConfig(Algo algo)
 {
-    serve::ServerConfig cfg;
+    shard::ClusterConfig cfg;
     cfg.gpu = bench::defaultGpu();
-    cfg.numInstances = 2;
+    cfg.partition = shard::PartitionPolicy::Hash;
+    cfg.numShards = 1;
+    cfg.instancesPerReplica = 2;
     cfg.queryPoolSize = 1024;
     cfg.pipeline.batch.maxBatch = maxBatchFor(algo);
     cfg.pipeline.degrade.highWater = 2 * cfg.pipeline.batch.maxBatch;
@@ -264,7 +277,7 @@ main(int argc, char **argv)
 
     std::vector<SweepPoint> points;
     for (const auto &[algo, dataset] : kServeWorkloads) {
-        const serve::ServerConfig cfg = serveConfig(algo);
+        const shard::ClusterConfig cfg = serveConfig(algo);
         const std::size_t requests_per_point =
             batches_per_point * cfg.pipeline.batch.maxBatch;
         const double cap_qps = baselineCapacityQps(algo, dataset, cfg);
@@ -282,7 +295,7 @@ main(int argc, char **argv)
             arr.deadlineCycles = static_cast<Cycle>(
                 40.0 * serve::kClockHz *
                 static_cast<double>(cfg.pipeline.batch.maxBatch *
-                                    cfg.numInstances) /
+                                    cfg.instancesPerReplica) /
                 cap_qps);
             arr.seed = 0xbeef + static_cast<std::uint64_t>(mult * 100);
             const std::vector<serve::Request> stream =
@@ -291,12 +304,12 @@ main(int argc, char **argv)
 
             for (const serve::BatchPolicyKind policy : policies) {
                 for (const bool hsu_on : {false, true}) {
-                    serve::ServerConfig point = cfg;
+                    shard::ClusterConfig point = cfg;
                     point.gpu.rtUnitEnabled = hsu_on;
                     point.pipeline.policy = policy;
                     point.jobs = jobs;
-                    serve::Server server(algo, dataset, point);
-                    const serve::ServeReport rep = server.run(stream);
+                    shard::ClusterServer server(algo, dataset, point);
+                    const shard::ClusterReport rep = server.run(stream);
 
                     SweepPoint pt;
                     pt.algo = algo;
@@ -327,8 +340,7 @@ main(int argc, char **argv)
                     // Contract 2: request conservation, and at light
                     // load (no shedding possible) both policies
                     // complete every request.
-                    if (rep.completed + rep.shedAdmission +
-                            rep.shedExpired !=
+                    if (rep.completed + rep.shedRequests !=
                         rep.offered) {
                         contracts_ok = false;
                         std::cerr << "[serve_latency] CONSERVATION "
@@ -367,7 +379,7 @@ main(int argc, char **argv)
               "p50 us", "p99 us"});
     std::vector<CachePoint> cache_points;
     for (const auto &[algo, dataset] : kServeWorkloads) {
-        const serve::ServerConfig cfg = serveConfig(algo);
+        const shard::ClusterConfig cfg = serveConfig(algo);
         const double cap_qps = baselineCapacityQps(algo, dataset, cfg);
         serve::ArrivalConfig arr;
         arr.ratePerCycle =
@@ -383,7 +395,7 @@ main(int argc, char **argv)
 
         for (const std::size_t capacity : capacities) {
             for (const bool hsu_on : {false, true}) {
-                serve::ServerConfig point = cfg;
+                shard::ClusterConfig point = cfg;
                 point.gpu.rtUnitEnabled = hsu_on;
                 point.jobs = jobs;
                 point.pipeline.cache.capacity = capacity;
@@ -393,8 +405,8 @@ main(int argc, char **argv)
                     point.pipeline.cache.toleranceLevels =
                         cache_tolerance;
                 }
-                serve::Server server(algo, dataset, point);
-                const serve::ServeReport rep = server.run(stream);
+                shard::ClusterServer server(algo, dataset, point);
+                const shard::ClusterReport rep = server.run(stream);
 
                 CachePoint cp;
                 cp.algo = algo;

@@ -3,8 +3,8 @@
  * Sharded multi-GPU serving: QPS-vs-p99 knee as a function of shard
  * count x replica count, HSU vs non-RT baseline lowering.
  *
- * Beyond the paper: serve_latency drives ONE simulated GPU with
- * open-loop traffic; this bench drives a cluster (src/shard) — each of
+ * Beyond the paper: serve_latency drives ONE shard with open-loop
+ * traffic; this bench drives a cluster (src/shard) — each of
  * the four index families partitioned over N simulated GPUs (spatial
  * policy), R replicas per shard, scatter-gather routing across a
  * latency+bandwidth interconnect, and a deterministic top-k merge at
@@ -30,6 +30,7 @@
 #include "common/argparse.hh"
 #include "shard/answers.hh"
 #include "shard/cluster.hh"
+#include "shard/shard_index.hh"
 
 using namespace hsu;
 
@@ -70,8 +71,10 @@ singleGpuCapacityQps(Algo algo, DatasetId dataset,
     std::vector<std::uint32_t> ids(cfg.pipeline.batch.maxBatch);
     std::iota(ids.begin(), ids.end(), 0u);
     const std::shared_ptr<const KernelTrace> trace =
-        emitBatchTrace(algo, dataset, KernelVariant::Baseline,
-                       base.datapath, ids, cfg.queryPoolSize);
+        shard::emitShardBatchTrace(
+            algo, shard::ShardKey{dataset, cfg.partition, 1, 0},
+            KernelVariant::Baseline, base.datapath, ids,
+            cfg.queryPoolSize);
     StatGroup stats;
     const std::uint64_t cycles =
         simulateKernel(base, trace, stats).cycles +

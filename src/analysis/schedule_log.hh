@@ -44,8 +44,8 @@ namespace hsu
  *  - ClusterConfig: a=scatterHopCycles, b=gatherHopCycles,
  *    c=mergeCyclesPerShard (router lane, cycle 0).
  *  - Admit: cycle=arrival, a=request id, b=query id,
- *    c=(outcome | depth << 2) with outcome 0=queued, 1=cache hit,
- *    2=shed; depth sampled before any queue push.
+ *    c=(outcome | depth << 2) with outcome 0=queued, 2=shed (1 is
+ *    unused); depth sampled before any queue push.
  *  - Expire: cycle=batch-formation cycle, a=request id,
  *    b=deadlineCycle.
  *  - BatchSeal: cycle=formation, a=batch seq, b=batch size,
@@ -99,7 +99,6 @@ enum class ScheduleEventKind : std::uint8_t
 
 /** Admit outcome codes (low 2 bits of the Admit event's c payload). */
 inline constexpr std::uint64_t kAdmitQueued = 0;
-inline constexpr std::uint64_t kAdmitCacheHit = 1;
 inline constexpr std::uint64_t kAdmitShed = 2;
 
 /** CacheConfig flag bits (b payload). */

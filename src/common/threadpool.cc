@@ -17,10 +17,10 @@ defaultJobs()
     if (const char *env = std::getenv("HSU_JOBS")) {
         char *end = nullptr;
         const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
-        // Malformed values fall through to the hardware default rather
-        // than silently serialising a bench fleet.
+        if (end == env || *end != '\0' || v <= 0)
+            hsu_fatal("HSU_JOBS must be a positive integer, got '", env,
+                      "'");
+        return static_cast<unsigned>(v);
     }
     return std::max(1u, std::thread::hardware_concurrency());
 }

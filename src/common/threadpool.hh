@@ -33,8 +33,9 @@ namespace hsu
 
 /**
  * Number of simulation jobs to run concurrently: the HSU_JOBS
- * environment variable when set to a positive integer, otherwise
- * std::thread::hardware_concurrency() (at least 1).
+ * environment variable when set (a value that is not a positive
+ * integer is fatal), otherwise std::thread::hardware_concurrency()
+ * (at least 1).
  */
 unsigned defaultJobs();
 

@@ -690,76 +690,6 @@ emitSemanticShared(Algo algo, DatasetId id, const RunnerOptions &opts)
     return trace;
 }
 
-std::shared_ptr<const KernelTrace>
-emitBatchTrace(Algo algo, DatasetId dataset, KernelVariant variant,
-               const DatapathConfig &dp,
-               const std::vector<std::uint32_t> &query_ids,
-               std::size_t pool_size, const ServeKnobs &knobs)
-{
-    hsu_assert(!query_ids.empty(), "empty serve batch");
-    const ServePool &pool = servePool(dataset, pool_size);
-
-    auto gather_points = [&]() {
-        PointSet batch(pool.points.dim());
-        batch.reserve(query_ids.size());
-        for (const std::uint32_t q : query_ids) {
-            hsu_assert(q < pool.points.size(),
-                       "serve query id out of pool: ", q);
-            batch.add(pool.points[q]);
-        }
-        return batch;
-    };
-
-    // Emit the batch's semantic trace (timed as the Emit phase), then
-    // lower it for the requested variant — the same two-point pipeline
-    // the offline benches use, instead of the legacy kernel.run()
-    // wrapper. The traces are bit-identical (run() is documented as
-    // emit() + lowerTrace()).
-    SemKernelTrace sem = [&]() -> SemKernelTrace {
-        const ScopedPhaseTimer timer(PipelinePhase::Emit);
-        switch (algo) {
-          case Algo::Ggnn: {
-            const auto &a = ggnnAssets(dataset);
-            // Default-quality batches reuse the cached kernel (its
-            // address layouts are identical to a freshly constructed
-            // one — allocation is deterministic per kernel); degraded
-            // batches instantiate one with the shrunk knobs, which is
-            // cheap (address layouts only).
-            if (knobs == ServeKnobs{})
-                return a.kernel->emit(gather_points()).sem;
-            GgnnConfig cfg;
-            cfg.ef = knobs.ggnnEf;
-            cfg.k = knobs.ggnnK;
-            const GgnnKernel kernel(*a.graph, cfg);
-            return kernel.emit(gather_points()).sem;
-          }
-          case Algo::Flann: {
-            const auto &a = pointAssets(dataset);
-            return a.flannKernel->emit(gather_points()).sem;
-          }
-          case Algo::Bvhnn: {
-            const auto &a = pointAssets(dataset);
-            return a.bvhKernel->emit(gather_points()).sem;
-          }
-          case Algo::Btree: {
-            const auto &a = keyAssets(dataset);
-            std::vector<std::uint32_t> batch;
-            batch.reserve(query_ids.size());
-            for (const std::uint32_t q : query_ids) {
-                hsu_assert(q < pool.keys.size(),
-                           "serve query id out of pool: ", q);
-                batch.push_back(pool.keys[q]);
-            }
-            return a.kernel->emit(batch).sem;
-          }
-        }
-        hsu_panic("unknown algo");
-    }();
-    maybeLintEmission(sem, algo);
-    return std::make_shared<const KernelTrace>(
-        lowerTrace(sem, loweringFor(variant, dp)));
-}
-
 RunResult
 runLowered(Algo algo, DatasetId dataset, const GpuConfig &gpu,
            const RunnerOptions &opts, const Lowering &lowering,

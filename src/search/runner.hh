@@ -228,42 +228,13 @@ struct ServeKnobs
 };
 
 /**
- * Emit the trace of one dynamic batch for the serving subsystem.
- *
- * Requests reference queries by id into a deterministic per-dataset
- * serving pool of @p pool_size queries (generated once and memoized, a
- * pure function of the dataset seed). The batch runs through the same
- * kernel emitters as the offline benches — one warp per GGNN query, 32
- * point/key queries per warp — so batch cost is exactly what the
- * closed-loop experiments measure at that batch size.
- *
- * The batch goes through the same emit + lowerTrace() split as the
- * offline benches (the legacy kernel.run(variant) wrapper is gone from
- * this path) and comes back as an immutable shared trace that can be
- * handed to simulateKernel() without copying.
- *
- * Ordering contract: queries are emitted in exactly the order of
- * @p query_ids — lane/warp assignment follows position, not id. The
- * serve scheduling pipeline's batch policies (serve/policy) rely on
- * this to turn batch composition into memory coherence: a Morton- or
- * key-sorted id vector puts neighboring queries in the same warp.
- *
- * @param query_ids ids in [0, pool_size); one request each
- * @param knobs     (possibly degraded) kernel quality knobs
- */
-std::shared_ptr<const KernelTrace>
-emitBatchTrace(Algo algo, DatasetId dataset, KernelVariant variant,
-               const DatapathConfig &dp,
-               const std::vector<std::uint32_t> &query_ids,
-               std::size_t pool_size,
-               const ServeKnobs &knobs = ServeKnobs{});
-
-/**
  * Read-only access to the deterministic serving query pool that
- * emitBatchTrace() resolves request query-ids against — the sharded
- * serving layer routes and answers against the same pool, so router
- * pruning, shard answers, and batch emission all see identical query
- * payloads. Built once per (dataset, pool size) and cached.
+ * serving requests reference by query id: a pure function of the
+ * dataset seed. The sharded serving layer routes, emits batches
+ * (shard/shard_index emitShardBatchTrace) and answers against this one
+ * pool, so router pruning, batch emission and shard answers all see
+ * identical query payloads. Built once per (dataset, pool size) and
+ * cached.
  * @pre the dataset kind is HighDim/Point3d.
  */
 const PointSet &serveQueryPoints(DatasetId dataset,
@@ -281,9 +252,9 @@ serveQueryKeys(DatasetId dataset, std::size_t pool_size);
  * zero-extended. Sorting a dynamic batch by these keys puts spatially
  * (or key-range) adjacent queries next to each other, so their warps
  * traverse the same index nodes — the serve-layer coherent batch
- * policy's whole effect rides on emitBatchTrace() emitting queries in
- * exactly the order given (which it does: query_ids order is emission
- * order). Built once per (dataset, pool size) and cached.
+ * policy's whole effect rides on batch emission
+ * (shard/shard_index emitShardBatchTrace) emitting queries in exactly
+ * the order given. Built once per (dataset, pool size) and cached.
  */
 const std::vector<std::uint64_t> &
 serveQueryCoherenceKeys(DatasetId dataset, std::size_t pool_size);

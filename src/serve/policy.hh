@@ -7,11 +7,11 @@
  * FIFO batcher (serve/batcher) and the pipeline (serve/pipeline). That
  * split keeps every queueing decision bit-identical across policies
  * while letting a policy reshape what the kernel sees:
- * emitBatchTrace() assigns queries to warps in exactly the order
- * given, so sorting a batch by a spatial key packs nearby queries into
- * the same warp and their traversals onto the same index nodes
- * (RTNN-style query coherence; the paper's HSU warp buffer then merges
- * their node fetches).
+ * batch emission (shard/shard_index emitShardBatchTrace) assigns
+ * queries to warps in exactly the order given, so sorting a batch by
+ * a spatial key packs nearby queries into the same warp and their
+ * traversals onto the same index nodes (RTNN-style query coherence;
+ * the paper's HSU warp buffer then merges their node fetches).
  */
 
 #ifndef HSU_SERVE_POLICY_HH

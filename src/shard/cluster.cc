@@ -14,24 +14,37 @@ namespace hsu::shard
 namespace
 {
 
-/** One (shard, replica) lane: the shared scheduling pipeline plus one
- *  simulated GPU instance (serve/pipeline), bound to the shard's
- *  sub-index through its trace emitter. */
+/** One (shard, replica) lane: the scheduling pipeline plus the
+ *  simulated GPU instances that share it (serve/pipeline), bound to
+ *  the shard's sub-index through their trace emitter. */
 struct Lane
 {
     unsigned shard;
     serve::QueryPipeline pipe;
-    serve::BatchExecutor exec;
+    std::vector<serve::BatchExecutor> execs;
 
-    Lane(unsigned shard_idx, const serve::PipelineConfig &pipeline,
-         Algo algo, DatasetId dataset, std::size_t pool_size,
-         const GpuConfig &gpu, Cycle launch_overhead,
-         serve::BatchTraceEmitter emitter, ScheduleRecorder recorder)
-        : shard(shard_idx),
-          pipe(pipeline, algo, dataset, pool_size, recorder),
-          exec(gpu, launch_overhead, pipeline.degrade.degradedKnobs,
-               std::move(emitter), recorder)
+    Lane(unsigned shard_idx, unsigned instances,
+         const serve::PipelineConfig &pipeline, DatasetId dataset,
+         std::size_t pool_size, const GpuConfig &gpu,
+         Cycle launch_overhead, const serve::BatchTraceEmitter &emitter,
+         ScheduleRecorder recorder)
+        : shard(shard_idx), pipe(pipeline, dataset, pool_size, recorder)
     {
+        execs.reserve(instances);
+        for (unsigned i = 0; i < instances; ++i) {
+            execs.emplace_back(gpu, launch_overhead,
+                               pipeline.degrade.degradedKnobs, emitter,
+                               recorder);
+        }
+    }
+    Lane(Lane &&) = default; // move-only, as the executors are
+
+    bool
+    busy() const
+    {
+        return std::any_of(
+            execs.begin(), execs.end(),
+            [](const serve::BatchExecutor &e) { return e.busy(); });
     }
 
     /** Queued plus in-flight sub-queries (the LeastOutstanding load
@@ -39,8 +52,10 @@ struct Lane
     std::size_t
     outstanding() const
     {
-        return pipe.pending() +
-               (exec.busy() ? exec.batch().size() : 0);
+        std::size_t n = pipe.pending();
+        for (const serve::BatchExecutor &e : execs)
+            n += e.busy() ? e.batch().size() : 0;
+        return n;
     }
 };
 
@@ -86,6 +101,8 @@ ClusterServer::ClusterServer(Algo algo, DatasetId dataset,
         hsu_fatal("cluster needs at least one shard");
     if (cfg_.replicasPerShard == 0)
         hsu_fatal("cluster needs at least one replica per shard");
+    if (cfg_.instancesPerReplica == 0)
+        hsu_fatal("cluster needs at least one GPU instance per replica");
     if (cfg_.queryPoolSize == 0)
         hsu_fatal("cluster needs a non-empty query pool");
     if (cfg_.pipeline.degrade.shedWater == 0)
@@ -114,10 +131,8 @@ ClusterServer::run(const std::vector<serve::Request> &requests)
     routerRec.record(0, ScheduleEventKind::ClusterConfig, scatterHop,
                      gatherHop, mergePerShard);
 
-    // The answer cache sits at the router; lane pipelines run with
-    // caching off so one request is cached once, not per shard.
-    serve::PipelineConfig laneCfg = cfg_.pipeline;
-    laneCfg.cache.capacity = 0;
+    // The one answer cache sits at the router, so a request is cached
+    // once, not per shard.
     serve::AnswerCache cache(cfg_.pipeline.cache, algo_, dataset_,
                              cfg_.queryPoolSize, routerRec);
 
@@ -138,7 +153,8 @@ ClusterServer::run(const std::vector<serve::Request> &requests)
             const ScheduleRecorder laneRec(
                 cfg_.scheduleLog,
                 static_cast<std::uint32_t>(lanes.size()));
-            lanes.emplace_back(s, laneCfg, algo_, dataset_,
+            lanes.emplace_back(s, cfg_.instancesPerReplica,
+                               cfg_.pipeline, dataset_,
                                cfg_.queryPoolSize, cfg_.gpu,
                                cfg_.launchOverheadCycles, emitter,
                                laneRec);
@@ -158,7 +174,7 @@ ClusterServer::run(const std::vector<serve::Request> &requests)
 
     auto any_busy = [&] {
         return std::any_of(lanes.begin(), lanes.end(),
-                           [](const Lane &l) { return l.exec.busy(); });
+                           [](const Lane &l) { return l.busy(); });
     };
     auto any_pending = [&] {
         return std::any_of(lanes.begin(), lanes.end(),
@@ -221,39 +237,47 @@ ClusterServer::run(const std::vector<serve::Request> &requests)
         }
     };
 
-    // Fill every idle lane that has a ready batch. All sims dispatched
-    // here are submitted before anything blocks on them, so
-    // concurrently-busy lanes really simulate concurrently.
+    // Fill every idle instance with a ready batch of its lane. All
+    // sims dispatched here are submitted before anything blocks on
+    // them, so concurrently-busy instances really simulate
+    // concurrently.
     auto dispatch_ready = [&] {
         for (Lane &lane : lanes) {
-            if (lane.exec.busy() || !lane.pipe.batchReady(now))
-                continue;
-            serve::FormedBatch formed = lane.pipe.formBatch(
-                now, report.shards[lane.shard].queueWaitCycles,
-                report.batchSize);
-            for (const serve::Request &r : formed.expired)
-                subquery_resolved(r.id, false, 0, false);
-            if (formed.requests.empty())
-                continue; // everything pending had expired
-            lane.exec.dispatch(pool, now, std::move(formed));
+            for (serve::BatchExecutor &exec : lane.execs) {
+                if (exec.busy())
+                    continue;
+                if (!lane.pipe.batchReady(now))
+                    break;
+                serve::FormedBatch formed = lane.pipe.formBatch(
+                    now, report.shards[lane.shard].queueWaitCycles,
+                    report.batchSize);
+                for (const serve::Request &r : formed.expired)
+                    subquery_resolved(r.id, false, 0, false);
+                if (formed.requests.empty())
+                    continue; // everything pending had expired
+                exec.dispatch(pool, now, std::move(formed));
+            }
         }
     };
 
-    // Resolve in-flight completion times, in lane order: blocking on
-    // the first future lets the rest keep running in the pool.
+    // Resolve in-flight completion times, in lane and instance order:
+    // blocking on the first future lets the rest keep running in the
+    // pool.
     auto resolve_busy = [&] {
-        for (Lane &lane : lanes)
-            lane.exec.resolve(totals);
+        for (Lane &lane : lanes) {
+            for (serve::BatchExecutor &exec : lane.execs)
+                exec.resolve(totals);
+        }
     };
 
-    // Deliver one sub-query to its lane; the lane pipeline applies the
-    // single server's admission shedding per shard replica.
+    // Deliver one sub-query to its lane, whose pipeline applies
+    // admission shedding per shard replica.
     auto deliver = [&](const ScatterMsg &msg) {
         Lane &lane = lanes[msg.lane];
         report.shards[lane.shard].subqueries += 1;
         serve::Request sub = msg.req;
         sub.arrivalCycle = msg.deliverCycle;
-        if (lane.pipe.admit(sub) == serve::Admission::Shed)
+        if (!lane.pipe.admit(sub))
             subquery_resolved(msg.req.id, false, 0, false);
     };
 
@@ -268,40 +292,45 @@ ClusterServer::run(const std::vector<serve::Request> &requests)
         }
 
         // Next event: an arrival, a scatter delivery, a batch
-        // completion, or an idle lane's age trigger.
+        // completion, or the age trigger of a lane with an idle
+        // instance.
         Cycle next = kNeverCycle;
         if (nextArrival < requests.size())
             next = std::min(next, requests[nextArrival].arrivalCycle);
         if (!scatter.empty())
             next = std::min(next, scatter.front().deliverCycle);
         for (const Lane &lane : lanes) {
-            if (lane.exec.busy())
-                next = std::min(next, lane.exec.readyCycle());
-            else
-                next = std::min(next, lane.pipe.nextForceCycle());
+            for (const serve::BatchExecutor &exec : lane.execs) {
+                next = std::min(next, exec.busy()
+                                          ? exec.readyCycle()
+                                          : lane.pipe.nextForceCycle());
+            }
         }
         hsu_assert(next != kNeverCycle, "cluster wedged at cycle ",
                    now);
         now = std::max(now, next);
 
-        // Completions first (frees lanes and bounds queues), in lane
-        // order for a deterministic join/histogram fill. Each
-        // sub-answer crosses the gather hop before it can merge.
+        // Completions first (frees instances and bounds queues), in
+        // lane and instance order for a deterministic join/histogram
+        // fill. Each sub-answer crosses the gather hop before it can
+        // merge.
         for (std::size_t li = 0; li < lanes.size(); ++li) {
-            Lane &lane = lanes[li];
-            if (!lane.exec.busy() || lane.exec.readyCycle() > now)
-                continue;
-            const Cycle laneReady = lane.exec.readyCycle();
             const ScheduleRecorder gatherRec(
                 cfg_.scheduleLog, static_cast<std::uint32_t>(li));
-            for (const serve::Request &r : lane.exec.batch()) {
-                gatherRec.record(laneReady, ScheduleEventKind::Gather,
-                                 r.id, laneReady,
-                                 laneReady + gatherHop);
-                subquery_resolved(r.id, true, laneReady + gatherHop,
-                                  lane.exec.degraded());
+            for (serve::BatchExecutor &exec : lanes[li].execs) {
+                if (!exec.busy() || exec.readyCycle() > now)
+                    continue;
+                const Cycle laneReady = exec.readyCycle();
+                for (const serve::Request &r : exec.batch()) {
+                    gatherRec.record(laneReady,
+                                     ScheduleEventKind::Gather, r.id,
+                                     laneReady, laneReady + gatherHop);
+                    subquery_resolved(r.id, true,
+                                      laneReady + gatherHop,
+                                      exec.degraded());
+                }
+                exec.finish();
             }
-            lane.exec.finish();
         }
 
         // Scatter messages that have crossed the link by now, in send
@@ -315,7 +344,7 @@ ClusterServer::run(const std::vector<serve::Request> &requests)
         // Then admissions up to the current cycle: probe the router
         // cache, else route, pick a replica per target shard, and put
         // the sub-queries on the wire (zero-latency links deliver
-        // inline, preserving the single-server admission order).
+        // inline, in arrival order).
         while (nextArrival < requests.size() &&
                requests[nextArrival].arrivalCycle <= now) {
             const serve::Request &req = requests[nextArrival++];

@@ -1,41 +1,46 @@
 /**
  * @file
- * Sharded multi-GPU serving cluster on the unified simulated clock.
+ * The serving engine: a sharded multi-GPU cluster on the unified
+ * simulated clock.
  *
- * A ClusterServer extends the single-instance server (serve/server) to
- * N index shards x R replicas per shard. One router receives the
- * open-loop request stream, fans each request out to the shards its
- * query can touch (shard/shard_index routeQuery: broadcast for kNN,
- * range-pruned for radius queries, single-owner for key lookups),
- * picks a replica per sub-query under a load-balancing policy, and
- * joins the partial answers with a deterministic top-k merge
- * (shard/merge — the timing model charges the merge, the answer layer
- * shard/answers pins its value).
+ * A ClusterServer runs N index shards x R replicas per shard x K GPU
+ * instances per replica. One router receives the open-loop request
+ * stream (serve/arrivals), probes the answer cache, fans each request
+ * out to the shards its query can touch (shard/shard_index
+ * routeQuery: broadcast for kNN, range-pruned for radius queries,
+ * single-owner for key lookups), picks a replica per sub-query under a
+ * load-balancing policy, and joins the partial answers with a
+ * deterministic top-k merge (shard/merge — the timing model charges
+ * the merge, the answer layer shard/answers pins its value). A
+ * single-GPU server is the 1 x 1 x K case with a zero-cost link.
  *
- * Every (shard, replica) lane composes the same serve::QueryPipeline +
- * serve::BatchExecutor pair as the single server (serve/pipeline), so
- * admission shedding, degraded knobs, deadline expiry, and the
- * batch-ordering policy are one implementation, not two. Lane
- * pipelines run with their answer cache disabled; the cluster instead
- * keeps ONE router-level answer cache in front of routing — a hit
- * answers the whole request before it scatters (the merged answer is
- * what the cache conceptually holds; only full, non-partial answers
- * fill it). With the Coherent policy each lane sorts its OWN formed
- * batches after routing, so per-shard batches stay Morton-compact even
- * though the router splits the stream. Scatter and gather
- * hops cross an interconnect with a fixed-latency + bandwidth link
- * model; a request completes when its last surviving sub-query's
- * result has crossed back and merged:
+ * Every (shard, replica) lane composes one serve::QueryPipeline with
+ * K serve::BatchExecutor instances (serve/pipeline): admission
+ * shedding, degraded knobs, deadline expiry and the batch-ordering
+ * policy happen once per lane, and formed batches go to the lane's
+ * idle instances in index order. The router keeps the one answer
+ * cache: a hit answers the whole request before it scatters (the
+ * merged answer is what the cache conceptually holds; only full,
+ * non-partial answers fill it). With the Coherent policy each lane
+ * sorts its OWN formed batches after routing, so per-shard batches
+ * stay Morton-compact even though the router splits the stream.
+ * Scatter and gather hops cross an interconnect with a fixed-latency
+ * + bandwidth link model; a request completes when its last surviving
+ * sub-query's result has crossed back and merged:
  *
  *     completion = max over sub-queries (lane completion + gather hop)
- *                + merge cost.
+ *                + merge cost,
+ *
+ * where a lane completion is dispatch + launch overhead + the
+ * simulated kernel cycles of its batch (the same emitters and timing
+ * model as the offline benches). A cache hit completes at arrival +
+ * the cache's hit latency.
  *
  * Determinism: arrivals are processed in stream order, scatter
- * messages in send order, lanes in index order; batch simulations fan
- * out over an hsu::ThreadPool but are pure functions resolved in lane
- * order. Reports are bit-identical for any HSU_JOBS / HSU_SIM_JOBS
- * (tests/shard/test_cluster.cc pins this), and a 1x1 cluster with a
- * zero-cost link reproduces serve::Server exactly.
+ * messages in send order, lanes and their instances in index order;
+ * batch simulations fan out over an hsu::ThreadPool but are pure
+ * functions resolved in lane order. Reports are bit-identical for any
+ * HSU_JOBS / HSU_SIM_JOBS (tests/shard/test_cluster.cc pins this).
  */
 
 #ifndef HSU_SHARD_CLUSTER_HH
@@ -45,7 +50,8 @@
 #include <string>
 #include <vector>
 
-#include "serve/server.hh"
+#include "common/stats.hh"
+#include "serve/pipeline.hh"
 #include "shard/partition.hh"
 
 namespace hsu::shard
@@ -90,15 +96,19 @@ struct ClusterConfig
     PartitionPolicy partition = PartitionPolicy::Spatial;
     unsigned numShards = 2;
     unsigned replicasPerShard = 1;
+    /** Simulated GPU instances per (shard, replica) lane; they share
+     *  the lane's queue and take its batches in index order. */
+    unsigned instancesPerReplica = 1;
     LoadBalance balance = LoadBalance::RoundRobin;
-    /** Scheduling stages, applied per lane (serve semantics). The
-     *  cache member configures the ROUTER-level answer cache; lane
-     *  pipelines always run with caching disabled. */
+    /** Scheduling stages, applied per lane. The cache member
+     *  configures the router's answer cache. */
     serve::PipelineConfig pipeline;
+    /** Serving query pool size (must cover request query-ids). */
     std::uint32_t queryPoolSize = 1024;
+    /** Fixed per-launch overhead charged before kernel cycles. */
     Cycle launchOverheadCycles = 1'000;
-    /** Scatter/gather interconnect. Defaults to a zero-cost link so a
-     *  1x1 cluster degenerates to the single-instance server. */
+    /** Scatter/gather interconnect. Defaults to a zero-cost link, so
+     *  a 1-shard cluster is a single-GPU server. */
     LinkModel link;
     /** Router-side merge cost per contributing shard answer. */
     Cycle mergeCyclesPerShard = 0;
@@ -149,6 +159,17 @@ struct ClusterReport
 
     std::vector<ShardReport> shards;
 
+    /** One per-shard counter summed over every shard, e.g.
+     *  shardSum(&ShardReport::batches) for the cluster's launches. */
+    std::uint64_t
+    shardSum(std::uint64_t ShardReport::*counter) const
+    {
+        std::uint64_t n = 0;
+        for (const ShardReport &s : shards)
+            n += s.*counter;
+        return n;
+    }
+
     /** Memory-system sums over every lane batch simulation
      *  (serve::SimTotals; deterministic resolve-order accumulation). */
     std::uint64_t kernelCycles = 0; //!< summed batch kernel cycles
@@ -157,6 +178,7 @@ struct ClusterReport
     double l1Misses = 0;
     double rtuBusyCycles = 0;       //!< 0 on the non-RT baseline
 
+    /** Completions per second of simulated time at kClockHz. */
     double
     achievedQps() const
     {
@@ -167,6 +189,10 @@ struct ClusterReport
                 serve::kClockHz);
     }
 
+    /** Latency percentile in microseconds at serve::kClockHz. This
+     *  is the midpoint of a 16-per-decade histogram bucket (about
+     *  +-7.5%, clamped to the exact min/max), not an exact request
+     *  latency: a shift smaller than one bucket may not move it. */
     double
     latencyUs(double p) const
     {

@@ -6,6 +6,7 @@
 #include "analysis/trace_lint.hh"
 #include "common/logging.hh"
 #include "common/memo.hh"
+#include "common/phase_timer.hh"
 #include "sim/lower.hh"
 
 namespace hsu::shard
@@ -190,6 +191,7 @@ emitShardBatchSem(Algo algo, const ShardKey &key,
     hsu_assert(!query_ids.empty(), "empty shard batch");
     const ShardIndex &idx =
         shardIndex(key.dataset, key.policy, key.numShards, key.shard);
+    const ScopedPhaseTimer timer(PipelinePhase::Emit);
 
     auto gather_points = [&]() {
         const PointSet &pool =

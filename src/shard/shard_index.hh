@@ -133,7 +133,8 @@ std::vector<std::uint32_t> routeQuery(Algo algo,
  * Emit the semantic trace of one dynamic batch against one shard's
  * sub-index — the emission half of emitShardBatchTrace, exposed so
  * the trace linter (tools/trace_lint) can audit shard emissions in
- * release builds too. Pure function of its arguments.
+ * release builds too. Timed as PipelinePhase::Emit. Pure function of
+ * its arguments.
  */
 SemKernelTrace
 emitShardBatchSem(Algo algo, const ShardKey &key,
@@ -142,10 +143,28 @@ emitShardBatchSem(Algo algo, const ShardKey &key,
                   const ServeKnobs &knobs = ServeKnobs{});
 
 /**
- * Emit + lower the trace of one dynamic batch against one shard's
- * sub-index — the sharded counterpart of search/runner's
- * emitBatchTrace, same emit-once/lower-many pipeline and the same
- * serving query pool. Pure function of its arguments.
+ * Emit + lower the trace of one dynamic serving batch against one
+ * shard's sub-index: the only batch emitter of the serving engine. A
+ * single-GPU server emits against shard 0 of a 1-shard partitioning,
+ * whose trace is the unsharded one.
+ *
+ * Requests reference queries by id into the deterministic serving pool
+ * of @p pool_size queries (search/runner serveQueryPoints /
+ * serveQueryKeys). The batch runs through the same kernel emitters as
+ * the offline benches — one warp per GGNN query, 32 point/key queries
+ * per warp — so batch cost is exactly what the closed-loop experiments
+ * measure at that batch size, and it goes through the same emit +
+ * lowerTrace() split, coming back as an immutable shared trace that
+ * can be handed to simulateKernel() without copying.
+ *
+ * Ordering contract: queries are emitted in exactly the order of
+ * @p query_ids — lane/warp assignment follows position, not id. The
+ * serve scheduling pipeline's batch policies (serve/policy) rely on
+ * this to turn batch composition into memory coherence: a Morton- or
+ * key-sorted id vector puts neighboring queries in the same warp.
+ *
+ * @param query_ids ids in [0, pool_size); one request each
+ * @param knobs     (possibly degraded) kernel quality knobs
  */
 std::shared_ptr<const KernelTrace>
 emitShardBatchTrace(Algo algo, const ShardKey &key,

@@ -52,7 +52,8 @@ struct GpuConfig
     /**
      * Intra-simulation worker threads for the event-horizon run loop
      * (see DESIGN.md "Deterministic intra-simulation parallelism").
-     * 0 reads HSU_SIM_JOBS once per process (default 1). 1 is the
+     * 0 reads HSU_SIM_JOBS once per process (default 1; a value that
+     * is not a positive integer is fatal). 1 is the
      * exact reference serial loop; > 1 selects the horizon loop, whose
      * results are bit-identical by construction. The effective thread
      * count is additionally clamped to numSms and the hardware

@@ -48,10 +48,11 @@ processSimJobsDefault()
         if (const char *env = std::getenv("HSU_SIM_JOBS")) {
             char *end = nullptr;
             const long n = std::strtol(env, &end, 10);
-            if (end != env && *end == '\0' && n > 0)
-                return static_cast<unsigned>(n);
-            // Malformed values fall back to the serial loop rather
-            // than silently picking a thread count.
+            if (end == env || *end != '\0' || n <= 0) {
+                hsu_fatal("HSU_SIM_JOBS must be a positive integer, "
+                          "got '", env, "'");
+            }
+            return static_cast<unsigned>(n);
         }
         return 1u;
     }();

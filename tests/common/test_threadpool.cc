@@ -84,12 +84,13 @@ TEST(ThreadPool, DefaultJobsHonorsEnvVar)
     EXPECT_EQ(defaultJobs(), 7u);
     EXPECT_EQ(ThreadPool(0).numThreads(), 7u);
 
-    // Malformed or non-positive values fall back to the hardware
-    // default instead of serialising (or crashing) the fleet.
+    // Malformed or non-positive values are refused, naming the value.
     ASSERT_EQ(setenv("HSU_JOBS", "banana", 1), 0);
-    EXPECT_GE(defaultJobs(), 1u);
+    EXPECT_DEATH(defaultJobs(),
+                 "HSU_JOBS must be a positive integer, got 'banana'");
     ASSERT_EQ(setenv("HSU_JOBS", "0", 1), 0);
-    EXPECT_GE(defaultJobs(), 1u);
+    EXPECT_DEATH(defaultJobs(),
+                 "HSU_JOBS must be a positive integer, got '0'");
 
     ASSERT_EQ(unsetenv("HSU_JOBS"), 0);
     EXPECT_GE(defaultJobs(), 1u);

@@ -2,14 +2,15 @@
  * @file
  * Answer-cache semantics: deterministic LRU replacement, exact vs
  * recall-tolerant hit keys (B+tree always exact), and the serving
- * integration — hits complete in the hit latency, bypass the queue,
+ * integration on a single-GPU server (the router's cache in front of
+ * one shard) — hits complete in the hit latency, bypass the queue,
  * and the accounting still balances, bit-identically across HSU_JOBS.
  */
 
 #include <gtest/gtest.h>
 
 #include "serve/cache.hh"
-#include "serve/server.hh"
+#include "shard/cluster.hh"
 
 namespace hsu::serve
 {
@@ -106,13 +107,15 @@ TEST(AnswerCache, BtreeIsAlwaysExact)
     EXPECT_TRUE(cache.lookup(0));
 }
 
-ServerConfig
+shard::ClusterConfig
 cachedConfig()
 {
-    ServerConfig cfg;
+    shard::ClusterConfig cfg;
     cfg.gpu.numSms = 2;
     cfg.gpu.finalize();
-    cfg.numInstances = 1;
+    cfg.partition = shard::PartitionPolicy::Hash; // keys all on shard 0
+    cfg.numShards = 1;
+    cfg.instancesPerReplica = 1;
     cfg.pipeline.batch.maxBatch = 8;
     cfg.pipeline.batch.maxWaitCycles = 20'000;
     cfg.pipeline.cache.capacity = 16;
@@ -137,17 +140,20 @@ zipfStream(std::size_t n, std::uint64_t seed,
 TEST(AnswerCache, ServerHitsBypassTheQueue)
 {
     const auto reqs = zipfStream(128, 33);
-    Server server(Algo::Btree, DatasetId::BTree10k, cachedConfig());
-    const ServeReport rep = server.run(reqs);
+    shard::ClusterServer server(Algo::Btree, DatasetId::BTree10k,
+                                cachedConfig());
+    const shard::ClusterReport rep = server.run(reqs);
+    ASSERT_EQ(rep.shards.size(), 1u);
+    const shard::ShardReport &lane = rep.shards[0];
 
     EXPECT_GT(rep.cacheHits, 0u);
     EXPECT_GT(rep.cacheHitRate(), 0.0);
     // Conservation: every request completes or is shed; hits complete
     // without ever occupying a queue slot.
-    EXPECT_EQ(rep.completed + rep.shedAdmission + rep.shedExpired,
+    EXPECT_EQ(rep.completed + lane.shedAdmission + lane.shedExpired,
               rep.offered);
     EXPECT_EQ(rep.queueWaitCycles.count() + rep.cacheHits +
-                  rep.shedAdmission + rep.shedExpired,
+                  lane.shedAdmission + lane.shedExpired,
               rep.offered);
     // A hit's latency is exactly the configured lookup cost — far
     // below any queued request's batching wait.
@@ -159,18 +165,20 @@ TEST(AnswerCache, ServerHitsBypassTheQueue)
 TEST(AnswerCache, ServerCacheDeterministicAcrossJobs)
 {
     const auto reqs = zipfStream(96, 5);
-    ServerConfig cfg = cachedConfig();
+    shard::ClusterConfig cfg = cachedConfig();
     cfg.jobs = 1;
-    const ServeReport rep1 =
-        Server(Algo::Btree, DatasetId::BTree10k, cfg).run(reqs);
+    const shard::ClusterReport rep1 =
+        shard::ClusterServer(Algo::Btree, DatasetId::BTree10k, cfg)
+            .run(reqs);
     cfg.jobs = 4;
-    Server parallel(Algo::Btree, DatasetId::BTree10k, cfg);
-    const ServeReport rep4 = parallel.run(reqs);
-    const ServeReport again = parallel.run(reqs);
-    for (const ServeReport *r : {&rep4, &again}) {
+    shard::ClusterServer parallel(Algo::Btree, DatasetId::BTree10k, cfg);
+    const shard::ClusterReport rep4 = parallel.run(reqs);
+    const shard::ClusterReport again = parallel.run(reqs);
+    for (const shard::ClusterReport *r : {&rep4, &again}) {
         EXPECT_EQ(rep1.cacheHits, r->cacheHits);
         EXPECT_EQ(rep1.completed, r->completed);
-        EXPECT_EQ(rep1.batches, r->batches);
+        EXPECT_EQ(rep1.shardSum(&shard::ShardReport::batches),
+                  r->shardSum(&shard::ShardReport::batches));
         EXPECT_EQ(rep1.lastCompletionCycle, r->lastCompletionCycle);
         EXPECT_EQ(rep1.latencyCycles.sum(), r->latencyCycles.sum());
     }
@@ -181,9 +189,10 @@ TEST(AnswerCache, ZipfStreamBeatsUniformHitRate)
     // The cache earns its keep on skewed traffic: the same server
     // under a Zipf stream must hit strictly more often than under a
     // uniform stream of the same length.
-    Server server(Algo::Btree, DatasetId::BTree10k, cachedConfig());
-    const ServeReport zipf = server.run(zipfStream(192, 11));
-    const ServeReport uniform =
+    shard::ClusterServer server(Algo::Btree, DatasetId::BTree10k,
+                                cachedConfig());
+    const shard::ClusterReport zipf = server.run(zipfStream(192, 11));
+    const shard::ClusterReport uniform =
         server.run(zipfStream(192, 11, QueryDist::Uniform));
     EXPECT_GT(zipf.cacheHitRate(), uniform.cacheHitRate());
 }

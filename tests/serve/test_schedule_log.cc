@@ -1,7 +1,8 @@
 /**
  * @file
- * Schedule recording on the real serving loop: logs recorded by
- * serve::Server lint clean under every SV/CH rule, attaching the
+ * Schedule recording on the real serving loop: logs recorded by a
+ * single-GPU server (the serving engine as one shard with two GPU
+ * instances) lint clean under every SV/CH rule, attaching the
  * recorder does not perturb the served results, and the recorded log
  * is bit-identical across simulation thread counts (recording happens
  * only on the event-loop thread).
@@ -10,20 +11,22 @@
 #include <gtest/gtest.h>
 
 #include "analysis/schedule_lint.hh"
-#include "serve/server.hh"
+#include "shard/cluster.hh"
 
 namespace hsu::serve
 {
 namespace
 {
 
-ServerConfig
-smallConfig(unsigned instances = 2)
+shard::ClusterConfig
+smallConfig()
 {
-    ServerConfig cfg;
+    shard::ClusterConfig cfg;
     cfg.gpu.numSms = 2;
     cfg.gpu.finalize();
-    cfg.numInstances = instances;
+    cfg.partition = shard::PartitionPolicy::Hash; // keys all on shard 0
+    cfg.numShards = 1;
+    cfg.instancesPerReplica = 2;
     cfg.pipeline.batch.maxBatch = 8;
     cfg.pipeline.batch.maxWaitCycles = 20'000;
     cfg.queryPoolSize = 64;
@@ -44,15 +47,18 @@ stream(Algo algo, DatasetId dataset, double rate_per_cycle,
 }
 
 void
-expectSameReport(const ServeReport &a, const ServeReport &b)
+expectSameReport(const shard::ClusterReport &a,
+                 const shard::ClusterReport &b)
 {
     EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.admitted, b.admitted);
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.shedAdmission, b.shedAdmission);
-    EXPECT_EQ(a.shedExpired, b.shedExpired);
-    EXPECT_EQ(a.degraded, b.degraded);
-    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.cacheHits, b.cacheHits);
+    ASSERT_EQ(a.shards.size(), 1u);
+    ASSERT_EQ(b.shards.size(), 1u);
+    EXPECT_EQ(a.shards[0].shedAdmission, b.shards[0].shedAdmission);
+    EXPECT_EQ(a.shards[0].shedExpired, b.shards[0].shedExpired);
+    EXPECT_EQ(a.shards[0].degraded, b.shards[0].degraded);
+    EXPECT_EQ(a.shards[0].batches, b.shards[0].batches);
     EXPECT_EQ(a.lastCompletionCycle, b.lastCompletionCycle);
     EXPECT_DOUBLE_EQ(a.latencyCycles.sum(), b.latencyCycles.sum());
 }
@@ -83,7 +89,7 @@ TEST(ScheduleLog, ServerLogLintsCleanAcrossPolicies)
     for (const BatchPolicyKind policy :
          {BatchPolicyKind::Fifo, BatchPolicyKind::Coherent}) {
         for (const bool cached : {false, true}) {
-            ServerConfig cfg = smallConfig();
+            shard::ClusterConfig cfg = smallConfig();
             cfg.pipeline.policy = policy;
             cfg.pipeline.degrade.highWater = 8;
             cfg.pipeline.degrade.shedWater = 24;
@@ -93,7 +99,8 @@ TEST(ScheduleLog, ServerLogLintsCleanAcrossPolicies)
             }
             ScheduleLog log;
             cfg.scheduleLog = &log;
-            Server server(Algo::Btree, DatasetId::BTree10k, cfg);
+            shard::ClusterServer server(Algo::Btree,
+                                        DatasetId::BTree10k, cfg);
             server.run(reqs);
 
             EXPECT_GT(log.events.size(), reqs.size());
@@ -110,16 +117,17 @@ TEST(ScheduleLog, RecorderDoesNotPerturbServing)
 {
     const auto reqs =
         stream(Algo::Btree, DatasetId::BTree10k, 1.0e-4, 64);
-    ServerConfig cfg = smallConfig();
+    shard::ClusterConfig cfg = smallConfig();
     cfg.pipeline.cache.capacity = 8;
     cfg.pipeline.cache.mode = CacheMode::Tolerant;
-    Server plain(Algo::Btree, DatasetId::BTree10k, cfg);
-    const ServeReport without = plain.run(reqs);
+    shard::ClusterServer plain(Algo::Btree, DatasetId::BTree10k, cfg);
+    const shard::ClusterReport without = plain.run(reqs);
 
     ScheduleLog log;
     cfg.scheduleLog = &log;
-    Server recorded(Algo::Btree, DatasetId::BTree10k, cfg);
-    const ServeReport with = recorded.run(reqs);
+    shard::ClusterServer recorded(Algo::Btree, DatasetId::BTree10k,
+                                  cfg);
+    const shard::ClusterReport with = recorded.run(reqs);
 
     expectSameReport(without, with);
     EXPECT_FALSE(log.events.empty());
@@ -131,7 +139,7 @@ TEST(ScheduleLog, LogBitIdenticalAcrossJobs)
     // not just the report — must not depend on the pool width.
     const auto reqs =
         stream(Algo::Ggnn, DatasetId::Sift10k, 1.0e-3, 48);
-    ServerConfig cfg = smallConfig(2);
+    shard::ClusterConfig cfg = smallConfig();
     cfg.pipeline.cache.capacity = 8;
     cfg.pipeline.cache.mode = CacheMode::Tolerant;
     cfg.pipeline.degrade.highWater = 4;
@@ -140,14 +148,14 @@ TEST(ScheduleLog, LogBitIdenticalAcrossJobs)
     ScheduleLog serialLog;
     cfg.jobs = 1;
     cfg.scheduleLog = &serialLog;
-    Server serial(Algo::Ggnn, DatasetId::Sift10k, cfg);
-    const ServeReport rep1 = serial.run(reqs);
+    shard::ClusterServer serial(Algo::Ggnn, DatasetId::Sift10k, cfg);
+    const shard::ClusterReport rep1 = serial.run(reqs);
 
     ScheduleLog parallelLog;
     cfg.jobs = 4;
     cfg.scheduleLog = &parallelLog;
-    Server parallel(Algo::Ggnn, DatasetId::Sift10k, cfg);
-    const ServeReport rep4 = parallel.run(reqs);
+    shard::ClusterServer parallel(Algo::Ggnn, DatasetId::Sift10k, cfg);
+    const shard::ClusterReport rep4 = parallel.run(reqs);
 
     expectSameReport(rep1, rep4);
     expectSameLog(serialLog, parallelLog);

@@ -2,14 +2,14 @@
  * @file
  * Scheduling-pipeline contracts.
  *
- * The tentpole guarantee of the serve/pipeline refactor is that the
- * composed pipeline (admission -> FIFO batcher -> degradation ->
- * ordering policy) reproduces the pre-refactor event loops EXACTLY
+ * The composed pipeline (admission -> FIFO batcher -> degradation ->
+ * ordering policy) must reproduce the original event loops EXACTLY
  * under the Fifo policy with the cache disabled. The golden reports
- * below were captured from the pre-refactor serve::Server and
- * shard::ClusterServer (hexfloat doubles pin the order-sensitive
- * histogram sums, not just the counters); any scheduling change that
- * shifts them is a regression, not noise.
+ * below were captured from the original single-GPU server and
+ * sharded cluster (hexfloat doubles pin the order-sensitive histogram
+ * sums, not just the counters); the single-GPU ones now run as a
+ * 1-shard cluster with k instances and must still match. Any
+ * scheduling change that shifts them is a regression, not noise.
  *
  * The Coherent policy's contracts are weaker by design — it reorders
  * WITHIN batches only, so batch membership, admission accounting, and
@@ -21,7 +21,6 @@
 
 #include "serve/pipeline.hh"
 #include "serve/policy.hh"
-#include "serve/server.hh"
 #include "shard/cluster.hh"
 
 namespace hsu::serve
@@ -41,35 +40,47 @@ mkStream(Algo algo, DatasetId ds, double rate, std::size_t n,
     return ArrivalGenerator(arr, algo, ds).generate(n);
 }
 
-ServerConfig
-goldenServerConfig(unsigned instances)
+/** A single-GPU server: one shard (Hash, so every key reaches it),
+ *  one replica, @p instances GPUs, zero-cost link. */
+shard::ClusterConfig
+singleGpuConfig(unsigned instances)
 {
-    ServerConfig cfg;
+    shard::ClusterConfig cfg;
     cfg.gpu.numSms = 2;
     cfg.gpu.finalize();
-    cfg.numInstances = instances;
+    cfg.partition = shard::PartitionPolicy::Hash;
+    cfg.numShards = 1;
+    cfg.instancesPerReplica = instances;
     cfg.pipeline.batch.maxBatch = 8;
     cfg.pipeline.batch.maxWaitCycles = 20'000;
     cfg.queryPoolSize = 64;
     return cfg;
 }
 
+/** The one shard's counters of a single-GPU server run. */
+const shard::ShardReport &
+only(const shard::ClusterReport &rep)
+{
+    EXPECT_EQ(rep.shards.size(), 1u);
+    return rep.shards.front();
+}
+
 // Case A of the pre-refactor capture: B+tree, 2 instances, light
 // overload, no deadlines, no degradation.
 TEST(Pipeline, GoldenFifoBtreeServer)
 {
-    Server server(Algo::Btree, DatasetId::BTree10k,
-                  goldenServerConfig(2));
-    const ServeReport r = server.run(
+    shard::ClusterServer server(Algo::Btree, DatasetId::BTree10k,
+                                singleGpuConfig(2));
+    const shard::ClusterReport r = server.run(
         mkStream(Algo::Btree, DatasetId::BTree10k, 1.0e-4, 96, 0, 21));
 
     EXPECT_EQ(r.offered, 96u);
-    EXPECT_EQ(r.admitted, 96u);
+    EXPECT_EQ(r.offered - only(r).shedAdmission, 96u); // admitted
     EXPECT_EQ(r.completed, 96u);
-    EXPECT_EQ(r.shedAdmission, 0u);
-    EXPECT_EQ(r.shedExpired, 0u);
-    EXPECT_EQ(r.degraded, 0u);
-    EXPECT_EQ(r.batches, 30u);
+    EXPECT_EQ(only(r).shedAdmission, 0u);
+    EXPECT_EQ(only(r).shedExpired, 0u);
+    EXPECT_EQ(only(r).degraded, 0u);
+    EXPECT_EQ(only(r).batches, 30u);
     EXPECT_EQ(r.cacheHits, 0u);
     EXPECT_EQ(r.lastCompletionCycle, 928'629u);
     EXPECT_EQ(r.latencyCycles.count(), 96u);
@@ -85,21 +96,21 @@ TEST(Pipeline, GoldenFifoBtreeServer)
 // knobs, long deadline (never expires).
 TEST(Pipeline, GoldenFifoGgnnDegradedServer)
 {
-    ServerConfig cfg = goldenServerConfig(1);
+    shard::ClusterConfig cfg = singleGpuConfig(1);
     cfg.pipeline.degrade.highWater = 4;
     cfg.pipeline.degrade.shedWater = 24;
     cfg.pipeline.degrade.degradedKnobs = ServeKnobs{8, 4};
-    Server server(Algo::Ggnn, DatasetId::Sift10k, cfg);
-    const ServeReport r = server.run(mkStream(
+    shard::ClusterServer server(Algo::Ggnn, DatasetId::Sift10k, cfg);
+    const shard::ClusterReport r = server.run(mkStream(
         Algo::Ggnn, DatasetId::Sift10k, 5.0e-3, 48, 3'000'000, 9));
 
     EXPECT_EQ(r.offered, 48u);
-    EXPECT_EQ(r.admitted, 32u);
+    EXPECT_EQ(r.offered - only(r).shedAdmission, 32u); // admitted
     EXPECT_EQ(r.completed, 32u);
-    EXPECT_EQ(r.shedAdmission, 16u);
-    EXPECT_EQ(r.shedExpired, 0u);
-    EXPECT_EQ(r.degraded, 32u);
-    EXPECT_EQ(r.batches, 4u);
+    EXPECT_EQ(only(r).shedAdmission, 16u);
+    EXPECT_EQ(only(r).shedExpired, 0u);
+    EXPECT_EQ(only(r).degraded, 32u);
+    EXPECT_EQ(only(r).batches, 4u);
     EXPECT_EQ(r.lastCompletionCycle, 90'056u);
     EXPECT_EQ(r.latencyCycles.count(), 32u);
     EXPECT_EQ(r.latencyCycles.sum(), 0x1.a5803p+20);
@@ -114,22 +125,22 @@ TEST(Pipeline, GoldenFifoGgnnDegradedServer)
 // expire at batch formation.
 TEST(Pipeline, GoldenFifoDeadlineExpiryServer)
 {
-    ServerConfig cfg = goldenServerConfig(1);
+    shard::ClusterConfig cfg = singleGpuConfig(1);
     cfg.pipeline.degrade.highWater = 4;
     cfg.pipeline.degrade.shedWater = 24;
     cfg.pipeline.degrade.degradedKnobs = ServeKnobs{8, 4};
-    Server server(Algo::Ggnn, DatasetId::Sift10k, cfg);
-    const ServeReport r = server.run(
+    shard::ClusterServer server(Algo::Ggnn, DatasetId::Sift10k, cfg);
+    const shard::ClusterReport r = server.run(
         mkStream(Algo::Ggnn, DatasetId::Sift10k, 5.0e-3, 48, 60'000,
                  9));
 
     EXPECT_EQ(r.offered, 48u);
-    EXPECT_EQ(r.admitted, 32u);
+    EXPECT_EQ(r.offered - only(r).shedAdmission, 32u); // admitted
     EXPECT_EQ(r.completed, 24u);
-    EXPECT_EQ(r.shedAdmission, 16u);
-    EXPECT_EQ(r.shedExpired, 8u);
-    EXPECT_EQ(r.degraded, 24u);
-    EXPECT_EQ(r.batches, 3u);
+    EXPECT_EQ(only(r).shedAdmission, 16u);
+    EXPECT_EQ(only(r).shedExpired, 8u);
+    EXPECT_EQ(only(r).degraded, 24u);
+    EXPECT_EQ(only(r).batches, 3u);
     EXPECT_EQ(r.lastCompletionCycle, 68'699u);
     EXPECT_EQ(r.latencyCycles.count(), 24u);
     EXPECT_EQ(r.latencyCycles.sum(), 0x1.fe42cp+19);
@@ -140,8 +151,8 @@ TEST(Pipeline, GoldenFifoDeadlineExpiryServer)
     EXPECT_EQ(r.batchSize.sum(), 0x1.8p+4);
 }
 
-// Case C: a 1x1 zero-link cluster runs the SAME pipeline composition
-// and must match both the golden numbers and the live server report.
+// Case C: the original 1x1 zero-link cluster (Spatial partition, one
+// instance) must match the golden numbers of the one-instance server.
 TEST(Pipeline, GoldenFifoOneByOneCluster)
 {
     const auto reqs =
@@ -176,14 +187,6 @@ TEST(Pipeline, GoldenFifoOneByOneCluster)
     EXPECT_EQ(r.shards[0].shedExpired, 0u);
     EXPECT_EQ(r.shards[0].degraded, 0u);
     EXPECT_EQ(r.shards[0].queueWaitCycles.sum(), 0x1.22d27p+20);
-
-    Server server(Algo::Btree, DatasetId::BTree10k,
-                  goldenServerConfig(1));
-    const ServeReport single = server.run(reqs);
-    EXPECT_EQ(r.lastCompletionCycle, single.lastCompletionCycle);
-    EXPECT_EQ(r.latencyCycles.sum(), single.latencyCycles.sum());
-    EXPECT_EQ(r.shards[0].queueWaitCycles.sum(),
-              single.queueWaitCycles.sum());
 }
 
 // Case D: a 2-shard cluster with a real link and merge cost — pins
@@ -261,39 +264,42 @@ TEST(Pipeline, CoherentPreservesMembershipAndAccounting)
     // are policy-independent even under load.
     const auto reqs = mkStream(Algo::Bvhnn, DatasetId::Random10k,
                                2.0e-3, 96, 0, 5);
-    ServerConfig cfg = goldenServerConfig(1);
-    const ServeReport fifo =
-        Server(Algo::Bvhnn, DatasetId::Random10k, cfg).run(reqs);
+    shard::ClusterConfig cfg = singleGpuConfig(1);
+    const shard::ClusterReport fifo =
+        shard::ClusterServer(Algo::Bvhnn, DatasetId::Random10k, cfg)
+            .run(reqs);
     cfg.pipeline.policy = BatchPolicyKind::Coherent;
-    const ServeReport coh =
-        Server(Algo::Bvhnn, DatasetId::Random10k, cfg).run(reqs);
+    const shard::ClusterReport coh =
+        shard::ClusterServer(Algo::Bvhnn, DatasetId::Random10k, cfg)
+            .run(reqs);
 
     EXPECT_EQ(coh.offered, fifo.offered);
-    EXPECT_EQ(coh.admitted, fifo.admitted);
+    EXPECT_EQ(only(coh).shedAdmission, only(fifo).shedAdmission);
     EXPECT_EQ(coh.completed, fifo.completed);
-    EXPECT_EQ(coh.shedAdmission, 0u);
-    EXPECT_EQ(coh.shedExpired, 0u);
-    EXPECT_GT(coh.batches, 0u);
+    EXPECT_EQ(only(coh).shedAdmission, 0u);
+    EXPECT_EQ(only(coh).shedExpired, 0u);
+    EXPECT_GT(only(coh).batches, 0u);
 }
 
 TEST(Pipeline, CoherentBitIdenticalAcrossJobs)
 {
     const auto reqs = mkStream(Algo::Flann, DatasetId::Bunny, 1.0e-3,
                                64, 0, 21);
-    ServerConfig cfg = goldenServerConfig(2);
+    shard::ClusterConfig cfg = singleGpuConfig(2);
     cfg.pipeline.policy = BatchPolicyKind::Coherent;
 
     cfg.jobs = 1;
-    const ServeReport rep1 =
-        Server(Algo::Flann, DatasetId::Bunny, cfg).run(reqs);
+    const shard::ClusterReport rep1 =
+        shard::ClusterServer(Algo::Flann, DatasetId::Bunny, cfg)
+            .run(reqs);
     cfg.jobs = 4;
-    Server parallel(Algo::Flann, DatasetId::Bunny, cfg);
-    const ServeReport rep4 = parallel.run(reqs);
-    const ServeReport again = parallel.run(reqs);
+    shard::ClusterServer parallel(Algo::Flann, DatasetId::Bunny, cfg);
+    const shard::ClusterReport rep4 = parallel.run(reqs);
+    const shard::ClusterReport again = parallel.run(reqs);
 
-    for (const ServeReport *r : {&rep4, &again}) {
+    for (const shard::ClusterReport *r : {&rep4, &again}) {
         EXPECT_EQ(rep1.completed, r->completed);
-        EXPECT_EQ(rep1.batches, r->batches);
+        EXPECT_EQ(only(rep1).batches, only(*r).batches);
         EXPECT_EQ(rep1.lastCompletionCycle, r->lastCompletionCycle);
         EXPECT_EQ(rep1.latencyCycles.sum(), r->latencyCycles.sum());
         EXPECT_EQ(rep1.queueWaitCycles.sum(),
@@ -307,9 +313,9 @@ TEST(Pipeline, CoherentBitIdenticalAcrossJobs)
 
 TEST(Pipeline, ReportsMemorySystemTotals)
 {
-    Server server(Algo::Btree, DatasetId::BTree10k,
-                  goldenServerConfig(1));
-    const ServeReport r = server.run(
+    shard::ClusterServer server(Algo::Btree, DatasetId::BTree10k,
+                                singleGpuConfig(1));
+    const shard::ClusterReport r = server.run(
         mkStream(Algo::Btree, DatasetId::BTree10k, 1.0e-4, 32, 0, 7));
     EXPECT_GT(r.kernelCycles, 0u);
     EXPECT_EQ(r.smCycles, r.kernelCycles * 2); // numSms == 2

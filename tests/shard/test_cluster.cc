@@ -1,16 +1,18 @@
 /**
  * @file
- * Cluster-server semantics: a 1x1 cluster with a zero-cost link
- * reproduces the single-instance server bit-for-bit, reports are
- * bit-identical across HSU_JOBS and HSU_SIM_JOBS, request accounting
- * balances under overload and shedding, the link model shifts the
- * latency distribution, and the cluster-level queue-wait histogram is
- * the exact merge of the per-shard ones.
+ * Cluster-server semantics: reports are bit-identical across HSU_JOBS
+ * and HSU_SIM_JOBS (also with several GPU instances per replica),
+ * request accounting balances under overload and shedding, every
+ * launch is emitted, lowered and simulated exactly once, the link
+ * model shifts the latency distribution, and the cluster-level
+ * queue-wait histogram is the exact merge of the per-shard ones.
  */
 
 #include <gtest/gtest.h>
 
-#include "serve/server.hh"
+#include <utility>
+
+#include "common/phase_timer.hh"
 #include "shard/cluster.hh"
 
 namespace hsu::shard
@@ -21,9 +23,6 @@ namespace
 using serve::ArrivalConfig;
 using serve::ArrivalGenerator;
 using serve::Request;
-using serve::ServeReport;
-using serve::Server;
-using serve::ServerConfig;
 
 constexpr std::uint32_t kPool = 64;
 
@@ -82,74 +81,56 @@ expectSameReport(const ClusterReport &a, const ClusterReport &b)
     }
 }
 
-TEST(Cluster, OneByOneMatchesSingleServer)
+TEST(Cluster, BitIdenticalAcrossJobsAndSimJobs)
 {
-    // A 1-shard, 1-replica cluster with a zero-cost interconnect and
-    // zero merge cost is the single-instance server: same batches,
-    // same cycles, same histograms.
-    const auto reqs =
-        stream(Algo::Btree, DatasetId::BTree10k, 5.0e-5, 96);
+    // 2 shards x 2 replicas x 1 instance, and 2 shards x 1 replica x
+    // 2 instances sharing each lane's queue, at a load where the
+    // second instance changes the latencies.
+    ClusterConfig deep = smallCluster(2, 1);
+    deep.instancesPerReplica = 2;
+    const std::pair<ClusterConfig, double> inputs[] = {
+        {smallCluster(2, 2), 1.0e-4}, {deep, 5.0e-2}};
+    for (auto [cfg, rate] : inputs) {
+        const auto reqs =
+            stream(Algo::Btree, DatasetId::BTree10k, rate, 64);
+        cfg.link.latencyCycles = 500;
+        cfg.mergeCyclesPerShard = 100;
 
-    ServerConfig scfg;
-    scfg.gpu.numSms = 2;
-    scfg.gpu.finalize();
-    scfg.numInstances = 1;
-    scfg.pipeline.batch.maxBatch = 8;
-    scfg.pipeline.batch.maxWaitCycles = 20'000;
-    scfg.queryPoolSize = kPool;
-    Server server(Algo::Btree, DatasetId::BTree10k, scfg);
-    const ServeReport single = server.run(reqs);
+        cfg.jobs = 1;
+        cfg.gpu.simJobs = 1;
+        ClusterServer serial(Algo::Btree, DatasetId::BTree10k, cfg);
+        const ClusterReport rep1 = serial.run(reqs);
+        EXPECT_EQ(rep1.completed + rep1.shedRequests, rep1.offered);
 
-    ClusterServer cluster(Algo::Btree, DatasetId::BTree10k,
-                          smallCluster(1, 1));
-    const ClusterReport sharded = cluster.run(reqs);
+        cfg.jobs = 4;
+        cfg.gpu.simJobs = 4;
+        ClusterServer parallel(Algo::Btree, DatasetId::BTree10k, cfg);
+        const ClusterReport rep4 = parallel.run(reqs);
+        expectSameReport(rep1, rep4);
 
-    EXPECT_EQ(sharded.offered, single.offered);
-    EXPECT_EQ(sharded.completed, single.completed);
-    EXPECT_EQ(sharded.subqueries, single.offered); // fan-out 1
-    EXPECT_EQ(sharded.shards.size(), 1u);
-    EXPECT_EQ(sharded.shards[0].batches, single.batches);
-    EXPECT_EQ(sharded.shards[0].shedAdmission, single.shedAdmission);
-    EXPECT_EQ(sharded.shards[0].shedExpired, single.shedExpired);
-    EXPECT_EQ(sharded.shards[0].degraded, single.degraded);
-    EXPECT_EQ(sharded.lastCompletionCycle,
-              single.lastCompletionCycle);
-    EXPECT_EQ(sharded.latencyCycles.count(),
-              single.latencyCycles.count());
-    EXPECT_DOUBLE_EQ(sharded.latencyCycles.sum(),
-                     single.latencyCycles.sum());
-    EXPECT_DOUBLE_EQ(sharded.latencyCycles.max(),
-                     single.latencyCycles.max());
-    for (const double p : {50.0, 95.0, 99.0}) {
-        EXPECT_DOUBLE_EQ(sharded.latencyCycles.percentile(p),
-                         single.latencyCycles.percentile(p));
-        EXPECT_DOUBLE_EQ(sharded.queueWaitCycles.percentile(p),
-                         single.queueWaitCycles.percentile(p));
+        // And across repeated runs of the same cluster.
+        const ClusterReport again = parallel.run(reqs);
+        expectSameReport(rep4, again);
     }
 }
 
-TEST(Cluster, BitIdenticalAcrossJobsAndSimJobs)
+TEST(Cluster, EveryLaunchIsEmittedLoweredAndSimulatedOnce)
 {
+    // Shard batch emission runs under the Emit phase timer, so a run's
+    // phase-counter deltas account for every launch exactly once.
     const auto reqs =
         stream(Algo::Btree, DatasetId::BTree10k, 1.0e-4, 64);
-    ClusterConfig cfg = smallCluster(2, 2);
-    cfg.link.latencyCycles = 500;
-    cfg.mergeCyclesPerShard = 100;
+    const ClusterConfig cfg = smallCluster(2, 2);
+    const PipelinePhaseReport before = pipelinePhaseReport();
+    const ClusterReport rep =
+        ClusterServer(Algo::Btree, DatasetId::BTree10k, cfg).run(reqs);
+    const PipelinePhaseReport after = pipelinePhaseReport();
 
-    cfg.jobs = 1;
-    cfg.gpu.simJobs = 1;
-    ClusterServer serial(Algo::Btree, DatasetId::BTree10k, cfg);
-    const ClusterReport rep1 = serial.run(reqs);
-
-    cfg.jobs = 4;
-    cfg.gpu.simJobs = 4;
-    ClusterServer parallel(Algo::Btree, DatasetId::BTree10k, cfg);
-    const ClusterReport rep4 = parallel.run(reqs);
-    expectSameReport(rep1, rep4);
-
-    // And across repeated runs of the same cluster.
-    const ClusterReport again = parallel.run(reqs);
-    expectSameReport(rep4, again);
+    const std::uint64_t launches = rep.shardSum(&ShardReport::batches);
+    EXPECT_GT(launches, 0u);
+    EXPECT_EQ(after.emitCalls - before.emitCalls, launches);
+    EXPECT_EQ(after.lowerCalls - before.lowerCalls, launches);
+    EXPECT_EQ(after.simulateCalls - before.simulateCalls, launches);
 }
 
 TEST(Cluster, BroadcastFanoutAndAccounting)

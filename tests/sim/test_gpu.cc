@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/stats.hh"
 #include "sim/gpu.hh"
 
@@ -29,6 +31,21 @@ TEST(GpuTiming, EmptyKernelFinishes)
     KernelTrace trace;
     const RunResult r = simulateKernel(tinyConfig(), trace, stats);
     EXPECT_LT(r.cycles, 200u);
+}
+
+TEST(GpuTimingDeathTest, MalformedSimJobsIsFatal)
+{
+    // HSU_SIM_JOBS is latched once per process, so the check runs in a
+    // freshly started child that reads the malformed value first.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            setenv("HSU_SIM_JOBS", "banana", 1);
+            StatGroup stats;
+            KernelTrace trace;
+            simulateKernel(tinyConfig(), trace, stats);
+        },
+        "HSU_SIM_JOBS must be a positive integer, got 'banana'");
 }
 
 TEST(GpuTiming, AluOnlyWarpTakesAboutCountCycles)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "hsu/functional.hh"
@@ -31,11 +32,16 @@ randomPairs(std::size_t n, std::uint64_t seed)
     return out;
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct must have no padding: padding bytes are uninitialised and would
+// make the test names change from run to run. A size_t order prints the
+// same bytes as an unsigned order followed by zeroed padding.
 struct BtreeCase
 {
     std::size_t n;
-    unsigned order;
+    std::size_t order;
 };
+static_assert(std::has_unique_object_representations_v<BtreeCase>);
 
 class BtreeSweep : public ::testing::TestWithParam<BtreeCase>
 {
@@ -49,7 +55,8 @@ TEST_P(BtreeSweep, LookupsMatchStdMap)
     for (const auto &[k, v] : pairs)
         ref.emplace(k, v); // first value wins, like BTree::build
 
-    const BTree tree = BTree::build(pairs, order);
+    const BTree tree =
+        BTree::build(pairs, static_cast<unsigned>(order));
     EXPECT_TRUE(tree.validate());
 
     // Every present key.

@@ -2,8 +2,8 @@
  * @file
  * schedule_lint: replay golden serving workloads with schedule
  * recording on and run the schedule auditor (analysis/schedule_lint)
- * over the recorded event logs — SV rules against serve::Server runs,
- * SV+SH+CH rules against shard::ClusterServer runs — plus the SH
+ * over the recorded event logs of shard::ClusterServer runs — single-
+ * shard servers and 2x2 clusters, SV+SH+CH rules — plus the SH
  * fixed-function sweeps: partition disjointness/coverage for every
  * (family, policy, N) and merge total-order over real sharded answers.
  *
@@ -19,7 +19,6 @@
 
 #include "analysis/schedule_lint.hh"
 #include "common/argparse.hh"
-#include "serve/server.hh"
 #include "shard/answers.hh"
 #include "shard/cluster.hh"
 
@@ -110,7 +109,8 @@ main(int argc, char **argv)
         workloads += 1;
     };
 
-    // --- Single-server schedules: every golden workload under both
+    // --- Single-shard schedules (one replica, two instances, Hash so
+    // every key reaches the shard): every golden workload under both
     // ordering policies, with the answer cache off and on. Overload
     // watermarks and deadlines are tight so the log really contains
     // shed / degrade / expiry decisions for the SV rules to audit.
@@ -119,10 +119,12 @@ main(int argc, char **argv)
              {serve::BatchPolicyKind::Fifo,
               serve::BatchPolicyKind::Coherent}) {
             for (const bool cached : {false, true}) {
-                serve::ServerConfig cfg;
+                shard::ClusterConfig cfg;
                 cfg.gpu.numSms = 2;
                 cfg.gpu.finalize();
-                cfg.numInstances = 2;
+                cfg.partition = shard::PartitionPolicy::Hash;
+                cfg.numShards = 1;
+                cfg.instancesPerReplica = 2;
                 cfg.queryPoolSize = kPool;
                 cfg.pipeline.batch.maxBatch = 8;
                 cfg.pipeline.batch.maxWaitCycles = 20'000;
@@ -136,7 +138,7 @@ main(int argc, char **argv)
                 }
                 ScheduleLog log;
                 cfg.scheduleLog = &log;
-                serve::Server server(w.algo, w.dataset, cfg);
+                shard::ClusterServer server(w.algo, w.dataset, cfg);
                 server.run(stream(w.algo, w.dataset, 2.0e-4, nreq,
                                   400'000));
                 const std::string name =
