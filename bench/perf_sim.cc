@@ -3,9 +3,12 @@
  * Intra-simulation parallelism benchmark: simulate-phase wall time and
  * cycles/second for each fig-9 workload at HSU_SIM_JOBS in {1, 2, 4, 8}
  * (GpuConfig::simJobs; the fleet executor is bypassed so each
- * simulation owns the machine). Emits BENCH_sim.json with per-workload
- * timings and the fleet geomean speedup per job level, and verifies
- * that every job level reproduces the jobs=1 results bit-identically.
+ * simulation owns the machine). Every level runs the same event-horizon
+ * loop; jobs=1 runs it with no TickTeam, and "serial" below (and in
+ * BENCH_sim.json's "geomean_speedup_vs_serial") means that level.
+ * Emits BENCH_sim.json with per-workload timings and the fleet geomean
+ * speedup per job level, and verifies that every job level reproduces
+ * the jobs=1 results bit-identically.
  *
  * --smoke: CI gate mode. One quick workload at jobs in {1, 8}; exits
  * nonzero when the parallel run is slower than serial beyond a slack
@@ -26,16 +29,8 @@ using namespace hsu;
 namespace
 {
 
-/** Simulator-throughput diagnostics: how many cycles each loop skipped
- *  depends on the execution strategy, not on the modeled machine. */
-bool
-isDiagnostic(const std::string &name)
-{
-    return name == "sim.ff_cycles" || name == "sim.horizon_cycles";
-}
-
 /** Describe the first difference between two runs, or "" when they are
- *  bit-identical (diagnostics excluded). */
+ *  bit-identical (skip diagnostics excluded). */
 std::string
 firstDifference(const WorkloadResult &ref, const WorkloadResult &got)
 {
@@ -60,10 +55,10 @@ firstDifference(const WorkloadResult &ref, const WorkloadResult &got)
                               const StatGroup &b) {
         std::map<std::string, double> ma, mb;
         for (const auto &[name, value] : a.dump())
-            if (!isDiagnostic(name))
+            if (!isSkipDiagnostic(name))
                 ma.emplace(name, value);
         for (const auto &[name, value] : b.dump())
-            if (!isDiagnostic(name))
+            if (!isSkipDiagnostic(name))
                 mb.emplace(name, value);
         if (ma.size() != mb.size()) {
             why << side << " stat count " << ma.size() << " vs "

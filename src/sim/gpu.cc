@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "common/audit.hh"
@@ -35,7 +36,12 @@ processNoSkipDefault()
     static const bool v = [] {
         // audit[env-read]: read once per process (see file comment)
         const char *e = std::getenv("HSU_NO_SKIP");
-        return e != nullptr && e[0] != '\0' && e[0] != '0';
+        if (e == nullptr)
+            return false;
+        const std::string_view v(e);
+        if (v != "0" && v != "1")
+            hsu_fatal("HSU_NO_SKIP must be 0 or 1, got '", e, "'");
+        return v == "1";
     }();
     return v;
 }
@@ -89,15 +95,6 @@ Gpu::allDone() const
     return mem_->idle();
 }
 
-Cycle
-Gpu::nextEventCycle(Cycle now) const
-{
-    Cycle next = mem_->nextEventCycle(now);
-    for (const auto &sm : sms_)
-        next = std::min(next, sm->nextEventCycle(now));
-    return next;
-}
-
 void
 Gpu::mergeSmStats()
 {
@@ -123,79 +120,6 @@ Gpu::panicWedged(const char *why, std::uint64_t now)
 }
 
 void
-Gpu::runSerial(std::uint64_t &now, std::uint64_t max_cycles, bool skip)
-{
-    // Adaptive probe backoff: when every probe answers "event next
-    // cycle" the machine is saturated and nextEventCycle() is pure
-    // overhead, so after probeDenseStreak consecutive no-gap answers we
-    // single-step probeInterval cycles between probes. A gap opening
-    // mid-window is entered at most probeInterval cycles late — small
-    // against the DRAM latencies that create gaps — and single-
-    // stepping is always exact, so results are unaffected.
-    unsigned dense_streak = 0;
-    unsigned probe_wait = 0;
-    // In no-skip mode, the predicted end of the current eventless gap;
-    // every cycle strictly inside it must confirm the prediction.
-    Cycle predicted_event = 0;
-
-    for (;;) {
-        if (now >= max_cycles)
-            panicWedged("simulation exceeded cycle bound", now);
-        mem_->tick(now);
-        for (auto &sm : sms_)
-            sm->tick(now);
-
-        // Exact completion: no check-period slack inflating the count.
-        if (allDone())
-            break;
-
-        if (skip && probe_wait > 0) {
-            --probe_wait;
-            ++now;
-            continue;
-        }
-
-        const Cycle next = nextEventCycle(now);
-        if (next == kNeverCycle)
-            panicWedged("no future event but simulation not done", now);
-        // Main simulation loop: release builds skip the check.
-        hsu_debug_assert(next > now,
-                         "next event cycle must be in the future");
-
-        if (skip) {
-            if (next > now + 1) {
-                // The gap (now, next) is provably eventless: account
-                // the per-cycle occupancy stats the skipped ticks would
-                // have recorded, then jump.
-                for (auto &sm : sms_)
-                    sm->fastForwardStats(now, next);
-                statFfCycles_ +=
-                    static_cast<double>(next - now - 1);
-                dense_streak = 0;
-            } else if (cfg_.probeDenseStreak != 0 &&
-                       ++dense_streak >= cfg_.probeDenseStreak) {
-                probe_wait = cfg_.probeInterval;
-                dense_streak = 0;
-            }
-            now = next;
-        } else {
-            // Debug mode: single-step, but verify the skipper's claim
-            // that nothing happens strictly inside a predicted gap.
-            if (now + 1 < predicted_event) {
-                if (next != predicted_event) {
-                    panicWedged("event-skip invariant violated: "
-                                "event appeared inside predicted gap",
-                                now);
-                }
-            } else {
-                predicted_event = next;
-            }
-            ++now;
-        }
-    }
-}
-
-void
 Gpu::catchUpAndTick(unsigned i, Cycle now)
 {
     Sm &sm = *sms_[i];
@@ -212,14 +136,13 @@ Gpu::catchUpAndTick(unsigned i, Cycle now)
         smSkipped_[i] += now - last - 1;
     }
     sm.tick(now);
-    smNextEvent_[i] = cfg_.eventCache ? sm.nextEventAfterTick(now)
-                                      : now + 1;
+    // The checking mode keeps every SM due every cycle.
+    smNextEvent_[i] = checking_ ? now + 1 : sm.nextEventAfterTick(now);
     smLastTicked_[i] = now;
 }
 
-void
-Gpu::runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
-                unsigned workers)
+std::uint64_t
+Gpu::runHorizon(std::uint64_t max_cycles, unsigned workers)
 {
     if (workers > 1)
         team_ = std::make_unique<TickTeam>(workers);
@@ -229,7 +152,11 @@ Gpu::runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
     smLastTicked_.assign(n, 0);
     smSkipped_.assign(n, 0);
     activeSms_.reserve(n);
+    // Checking mode: the end of the eventless gap last predicted by the
+    // exact scan; every cycle strictly inside it must confirm it.
+    Cycle predicted_event = 0;
 
+    std::uint64_t now = 0;
     for (;;) {
         if (now >= max_cycles)
             panicWedged("simulation exceeded cycle bound", now);
@@ -261,28 +188,48 @@ Gpu::runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
                 catchUpAndTick(i, now);
         }
 
+        // Exact completion: no check-period slack inflating the count.
         if (allDone())
             break;
 
         // The horizon: the earliest cycle anything can happen — a
         // memory-system event (which includes every pending completion
-        // delivery) or a cached SM self-event. Every wake cycle is a
-        // memory event, so no SM can be woken inside the jump.
+        // delivery) or an SM self-event. Every wake cycle is a memory
+        // event, so no SM can be woken inside the jump. Skipping reads
+        // the cached SM events; the checking mode rescans every SM.
         Cycle next = mem_->nextEventCycle(now);
-        for (unsigned i = 0; i < n; ++i)
-            next = std::min(next, smNextEvent_[i]);
+        for (unsigned i = 0; i < n; ++i) {
+            next = std::min(next, checking_ ? sms_[i]->nextEventCycle(now)
+                                            : smNextEvent_[i]);
+        }
         if (next == kNeverCycle)
             panicWedged("no future event but simulation not done", now);
+        // Main simulation loop: release builds skip the check.
         hsu_debug_assert(next > now,
                          "next event cycle must be in the future");
+
+        if (checking_) {
+            // Single-step, but verify the horizon's claim that nothing
+            // happens strictly inside a predicted gap.
+            if (now + 1 < predicted_event) {
+                if (next != predicted_event) {
+                    panicWedged("event-skip invariant violated: "
+                                "event appeared inside predicted gap",
+                                now);
+                }
+            } else {
+                predicted_event = next;
+            }
+            ++now;
+            continue;
+        }
         if (next > now + 1)
             statFfCycles_ += static_cast<double>(next - now - 1);
         now = next;
     }
 
     // SMs that sat out the tail still account per-cycle occupancy
-    // through the completion cycle, as the serial loop would (it ticks
-    // every SM on the break cycle too).
+    // through the completion cycle, as if they had ticked on it.
     for (unsigned i = 0; i < n; ++i) {
         if (smLastTicked_[i] < now) {
             sms_[i]->fastForwardStats(smLastTicked_[i], now + 1);
@@ -291,6 +238,7 @@ Gpu::runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
     }
     for (const std::uint64_t skipped : smSkipped_)
         statHorizonCycles_ += static_cast<double>(skipped);
+    return now;
 }
 
 RunResult
@@ -300,7 +248,7 @@ Gpu::run(const KernelTrace &trace, std::uint64_t max_cycles)
     for (std::size_t i = 0; i < trace.warps.size(); ++i)
         sms_[i % sms_.size()]->addWarp(&trace.warps[i]);
 
-    const bool no_skip =
+    checking_ =
         cfg_.noSkip < 0 ? processNoSkipDefault() : cfg_.noSkip != 0;
     const unsigned jobs =
         cfg_.simJobs > 0 ? cfg_.simJobs : processSimJobsDefault();
@@ -310,12 +258,7 @@ Gpu::run(const KernelTrace &trace, std::uint64_t max_cycles)
         {jobs, cfg_.numSms,
          std::max(1u, std::thread::hardware_concurrency())});
 
-    std::uint64_t now = 0;
-    if (jobs > 1 && !no_skip)
-        runHorizon(now, max_cycles, workers);
-    else
-        runSerial(now, max_cycles, !no_skip);
-
+    const std::uint64_t now = runHorizon(max_cycles, workers);
     mergeSmStats();
 
     RunResult r;

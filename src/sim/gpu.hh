@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -55,34 +56,44 @@ struct RunResult
 };
 
 /**
+ * Simulator-throughput diagnostics: "sim.ff_cycles" counts cycles the
+ * whole GPU skipped, "sim.horizon_cycles" cycles individual SMs sat
+ * out. They depend on how the loop ran (skipping vs HSU_NO_SKIP), not
+ * on the modeled machine, so they are the only stats allowed to differ
+ * between runs of the same kernel.
+ */
+inline bool
+isSkipDiagnostic(std::string_view name)
+{
+    return name == "sim.ff_cycles" || name == "sim.horizon_cycles";
+}
+
+/**
  * The simulated GPU. Construct once per kernel run (components carry
  * run-local state); stats accumulate into the caller's StatGroup.
  *
- * Two run loops, bit-identical by construction:
+ * One run loop, the event horizon. Each visited cycle ticks the memory
+ * system serially (the canonical commit point: SM traffic is staged in
+ * the private L1 miss queues and drained in SM-index order), then
+ * every SM that is due: its cached next self-event has arrived or a
+ * memory completion woke it. The clock then jumps to the earliest
+ * memory event or cached SM event. SMs that sat out cycles catch up
+ * their occupancy stats before their next tick. HSU_SIM_JOBS only
+ * sizes the TickTeam that ticks a cycle's due SMs concurrently; at 1
+ * the same loop runs with no team. Per-SM skipped cycles are reported
+ * as "sim.horizon_cycles", globally skipped ones as "sim.ff_cycles" —
+ * see DESIGN.md "Intra-simulation parallelism" for the identity
+ * argument.
  *
- *  - Serial (simJobs == 1, the reference): each cycle ticks the memory
- *    system then every SM, and fast-forwards the clock across
- *    provably-idle gaps (all warps stalled on DRAM, no queued
- *    traffic). HSU_NO_SKIP=1 forces the un-skipped loop, which
- *    additionally asserts that every predicted gap really was
- *    eventless. Skipped cycles are reported as "sim.ff_cycles".
- *
- *  - Event-horizon (simJobs > 1, HSU_SIM_JOBS): the memory system
- *    still ticks serially (the canonical commit point; SM traffic is
- *    staged in the private L1 miss queues and drained in SM-index
- *    order), but each SM carries its own cached next-event cycle and
- *    only ticks when it is due or a memory completion woke it. SM
- *    ticks within a cycle run concurrently on a TickTeam. Per-SM
- *    skipped cycles are reported as "sim.horizon_cycles", globally
- *    skipped ones as "sim.ff_cycles"; only these two diagnostics may
- *    differ between the loops — see DESIGN.md "Deterministic
- *    intra-simulation parallelism" for the identity argument.
+ * HSU_NO_SKIP=1 (GpuConfig::noSkip) is the loop's checking mode:
+ * every SM ticks every cycle, the clock advances by one, and the loop
+ * panics if an event appears strictly inside a gap that the exact
+ * next-event scan predicted to be eventless.
  *
  * Per-SM stats ("sm.*" / "lsu.*" / "rtu.*") accumulate in per-SM
  * staging groups and merge into the caller's StatGroup in SM-index
  * order when the run finishes; every increment is an exact small
- * integer, so the merged totals equal the serial loop's shared-group
- * accumulation bit for bit.
+ * integer, so the merged totals do not depend on the tick schedule.
  */
 class Gpu
 {
@@ -104,16 +115,8 @@ class Gpu
     /** True when every SM has drained and no memory request is alive. */
     bool allDone() const;
 
-    /** Global minimum next-event cycle across SMs + memory. */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /** Reference loop: tick everything every visited cycle. */
-    void runSerial(std::uint64_t &now, std::uint64_t max_cycles,
-                   bool skip);
-
-    /** Parallel per-SM loop with cached next-event values. */
-    void runHorizon(std::uint64_t &now, std::uint64_t max_cycles,
-                    unsigned workers);
+    /** The event-horizon loop; returns the completion cycle. */
+    std::uint64_t runHorizon(std::uint64_t max_cycles, unsigned workers);
 
     /** Account SM @p i's skipped cycles, tick it, refresh its cache. */
     void catchUpAndTick(unsigned i, Cycle now);
@@ -129,8 +132,9 @@ class Gpu
     std::vector<std::unique_ptr<StatGroup>> smStats_;
     std::vector<std::unique_ptr<Sm>> sms_;
     bool smStatsMerged_ = false;
+    bool checking_ = false; //!< HSU_NO_SKIP checking mode
 
-    // Event-horizon state (sized/used by runHorizon only).
+    // Event-horizon state (sized by runHorizon).
     std::vector<Cycle> smNextEvent_;   //!< cached per-SM next event
     std::vector<Cycle> smLastTicked_;  //!< last cycle the SM ticked
     std::vector<std::uint64_t> smSkipped_; //!< per-SM skipped cycles

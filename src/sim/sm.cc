@@ -325,6 +325,17 @@ Sm::nextEventCycle(Cycle now) const
     return next;
 }
 
+namespace
+{
+
+/** Dense-phase probe backoff: after kDenseStreak consecutive "next
+ *  cycle" answers, nextEventAfterTick answers now + 1 without scanning
+ *  for the next kProbeHold ticks. */
+constexpr unsigned kDenseStreak = 32;
+constexpr unsigned kProbeHold = 32;
+
+} // namespace
+
 Cycle
 Sm::nextEventAfterTick(Cycle now)
 {
@@ -338,9 +349,8 @@ Sm::nextEventAfterTick(Cycle now)
     }
     const Cycle next = nextEventCycle(now);
     if (next == now + 1) {
-        if (cfg_.probeDenseStreak != 0 &&
-            ++denseStreak_ >= cfg_.probeDenseStreak) {
-            probeHold_ = cfg_.probeInterval;
+        if (++denseStreak_ >= kDenseStreak) {
+            probeHold_ = kProbeHold;
             denseStreak_ = 0;
         }
     } else {

@@ -56,9 +56,9 @@ class Sm
     /**
      * Cached-event-probe variant for the horizon loop: called once
      * right after tick(now), it returns the SM's next self-event with
-     * a dense-phase backoff — after cfg.probeDenseStreak consecutive
-     * "next cycle" answers it stops re-scanning and answers now + 1
-     * unconditionally for cfg.probeInterval ticks. The backoff only
+     * a dense-phase backoff — after a streak of consecutive "next
+     * cycle" answers it stops re-scanning and answers now + 1
+     * unconditionally for a fixed number of ticks. The backoff only
      * ever under-estimates (extra ticks of an unchanged SM are
      * no-ops), so results are unaffected; it bounds the scan cost in
      * compute-dense phases where the answer is always "next cycle".
