@@ -47,7 +47,7 @@ struct MemSysParams
  * channels, L2, DRAM — moves only inside tick(), which runs on one
  * thread and drains the staged L1 miss queues in SM-index order. That
  * fixed commit order is what makes the parallel SM phase bit-identical
- * to the serial loop.
+ * to ticking the SMs one after another.
  */
 class MemorySystem
 {
